@@ -21,10 +21,10 @@
 //	GET    /api/sessions/{id}/plan     structured best plan per time point
 //	POST   /api/sessions/{id}/ask      {"kind": "...", "feature": "...", "alpha": 0.7}
 //	POST   /api/sessions/{id}/sql      {"query": "SELECT ..."} (SELECT only, row-capped)
-//	GET    /debug/vars                 expvar metrics (sessions, evictions, pool)
 //	GET    /debug/requests             sampled recent request traces (span trees)
 //	GET    /debug/requests/slow        every request over -slow-request, with plans
-//	GET    /metrics                    Prometheus text exposition
+//	GET    /metrics                    Prometheus text exposition (sessions,
+//	                                   evictions, pool, latency histograms)
 //
 // Sessions are held in memory under an idle TTL and an LRU-evicting cap;
 // session creation is cancelled when the client disconnects. The session
@@ -50,16 +50,17 @@
 // slotted pages that fault in from disk through one shared N-frame buffer
 // pool and evict under memory pressure, so the resident heap cost of an idle
 // session is its page directory rather than its rows. Pool behavior is
-// observable on /debug/vars as jitd_pool_{hits,misses,evictions,pinned,
-// dirty_writebacks,resident_pages}.
+// observable on /metrics as jitd_pool_{hits,misses,evictions,
+// dirty_writebacks}_total, jitd_pool_{pinned,resident_pages} and
+// jitd_pool_fault_duration_seconds.
 //
 // Every request carries a trace: spans across the session manager, planner,
 // executor, pager and durability layer, tail-sampled into two rings. Fast
 // requests are kept 1-in-(-trace-sample); every request at or over
 // -slow-request is kept unconditionally with its query plan rendered (the
 // slow-query log on /debug/requests/slow). -log-format selects text or json
-// structured logs; -debug-addr, when set, serves net/http/pprof and
-// /debug/vars on a separate listener.
+// structured logs; -debug-addr, when set, serves net/http/pprof on a
+// separate listener.
 //
 // Cluster mode. With -cluster-config (the jitrouter shard map) and
 // -shard-name, this process runs as one shard: it mints only session IDs it
@@ -75,15 +76,14 @@
 // replication stream into -data-dir instead of serving: every /api request
 // answers 503 + Retry-After until POST /admin/promote stops ingest and
 // opens the full API over the replicated session tree (sessions rehydrate
-// lazily from local disk). GET /admin/standby reports ingest counters while
-// waiting.
+// lazily from local disk). While waiting, GET /admin/standby reports ingest
+// counters and GET /metrics serves them as jitd_replica_*.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -100,6 +100,7 @@ import (
 	"justintime"
 	"justintime/internal/cluster"
 	"justintime/internal/fault"
+	"justintime/internal/obs"
 	"justintime/internal/server"
 	"justintime/internal/sqldb/persist"
 )
@@ -122,7 +123,7 @@ func main() {
 	slowRequest := flag.Duration("slow-request", 25*time.Millisecond, "requests at or over this duration are always kept in the slow-trace ring with rendered plans")
 	traceSample := flag.Int("trace-sample", 16, "keep 1 in N fast requests in the recent-trace ring")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof and /debug/vars; empty = off")
+	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof; empty = off")
 	clusterConfig := flag.String("cluster-config", "", "shard map JSON (the jitrouter config); with -shard-name, mint only owned session IDs")
 	shardName := flag.String("shard-name", "", "this process's name in -cluster-config")
 	replicateTo := flag.String("replicate-to", "", "warm standby's replication listener host:port; streams created and deleted sessions there (requires -data-dir)")
@@ -227,7 +228,6 @@ func main() {
 		if err != nil {
 			fatal(logger, "building replica failed", "err", err)
 		}
-		server.RegisterReplica(replica)
 		rln, err := net.Listen("tcp", *replicationListen)
 		if err != nil {
 			fatal(logger, "replication listener failed", "err", err)
@@ -236,7 +236,7 @@ func main() {
 			rln = fault.Listener(rln, netCfg)
 		}
 		go replica.Serve(rln)
-		sb := &standbyNode{replica: replica, build: buildServer, logger: logger}
+		sb := newStandbyNode(replica, buildServer, logger)
 		handler = sb
 		closeNode = sb.Close
 		logger.Info("warm standby: ingesting replication stream",
@@ -256,9 +256,8 @@ func main() {
 		logger.Info("paged candidates storage on", "pool_pages", *bufferPoolPages, "pool_kib", *bufferPoolPages*8)
 	}
 	if *debugAddr != "" {
-		// The pprof import registered its handlers on http.DefaultServeMux,
-		// and expvar self-registers /debug/vars there too. Serving the
-		// default mux on a separate listener keeps profiling/introspection
+		// The pprof import registered its handlers on http.DefaultServeMux.
+		// Serving the default mux on a separate listener keeps profiling
 		// off the API port.
 		go func() {
 			dsrv := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
@@ -302,17 +301,33 @@ func main() {
 }
 
 // standbyNode is the warm-standby lifecycle around a Server that does not
-// exist yet: before promotion it ingests the primary's replication stream
-// and answers 503 to the API (so a router's health probe never routes here);
-// POST /admin/promote stops ingest and builds the real Server over the
-// replicated session tree, after which every request flows through it.
+// exist yet: before promotion it ingests the primary's replication stream,
+// serves its ingest counters on /metrics, and answers 503 to the API (so a
+// router's health probe never routes here); POST /admin/promote stops ingest
+// and builds the real Server over the replicated session tree, after which
+// every request, /metrics included, flows through it.
 type standbyNode struct {
 	replica *persist.Replica
 	build   func() *server.Server
 	logger  *slog.Logger
+	metrics *obs.Registry
 
 	mu  sync.RWMutex
 	srv *server.Server // nil until promoted
+}
+
+func newStandbyNode(replica *persist.Replica, build func() *server.Server, logger *slog.Logger) *standbyNode {
+	r := obs.NewRegistry()
+	r.GaugeFunc("jitd_replica_connected", "Standby-side replication feed is connected (1 = yes).", func() int64 {
+		if replica.Stats().Connected {
+			return 1
+		}
+		return 0
+	})
+	r.CounterFunc("jitd_replica_applied_bytes_total", "Replicated bytes applied by the standby.", func() int64 { return replica.Stats().AppliedBytes })
+	r.CounterFunc("jitd_replica_syncs_total", "Full session file sets applied by the standby.", func() int64 { return replica.Stats().Syncs })
+	r.CounterFunc("jitd_replica_deletes_total", "Session deletions applied by the standby.", func() int64 { return replica.Stats().Deletes })
+	return &standbyNode{replica: replica, build: build, logger: logger, metrics: r}
 }
 
 func (n *standbyNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -330,8 +345,8 @@ func (n *standbyNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodGet && r.URL.Path == "/admin/standby":
 		writeJSON(w, http.StatusOK, map[string]interface{}{"promoted": false, "replica": n.replica.Stats()})
-	case r.URL.Path == "/debug/vars":
-		expvar.Handler().ServeHTTP(w, r)
+	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
+		n.metrics.ServeHTTP(w, r)
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{

@@ -28,7 +28,6 @@
 //
 //	GET  /metrics        Prometheus text exposition (per-shard forward
 //	                     latency, retries, 503s, health)
-//	GET  /debug/vars     the same counters as JSON
 //	GET  /admin/map      live shard map with health
 //	GET  /admin/owner    ?id=<session-id> -> owning shard
 //	POST /admin/reload   re-read -cluster-config and apply it (the failover

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -95,14 +94,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs a non-empty shard map")
 	}
 	rt := &Router{
-		cfg:     cfg,
-		byName:  make(map[string]*shardState),
-		metrics: newRouterMetrics(),
+		cfg:    cfg,
+		byName: make(map[string]*shardState),
 	}
+	rt.metrics = newRouterMetrics(rt.health)
 	rt.apply(cfg.Map)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /debug/vars", rt.handleVars)
+	mux.Handle("GET /metrics", rt.metrics.reg)
 	mux.HandleFunc("POST /admin/reload", rt.handleReload)
 	mux.HandleFunc("GET /admin/map", rt.handleMap)
 	mux.HandleFunc("GET /admin/owner", rt.handleOwner)
@@ -322,7 +320,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		// connection that hangs until some deep timeout. The prober flips
 		// the shard back the moment it answers again (or its promoted
 		// standby does, after a reload re-points the address).
-		sm.unavailable.Add(1)
+		sm.unavailable.Inc()
 		rt.unavailable(w, s.name, fmt.Errorf("shard %s is down", s.name))
 		return
 	}
@@ -343,7 +341,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		// One retry for idempotent reads on a fresh attempt: a read that
 		// died to a stale keep-alive connection or a mid-restart shard is
 		// safe to replay (it has no body and no side effects).
-		sm.retries.Add(1)
+		sm.retries.Inc()
 		out2, rerr := http.NewRequestWithContext(r.Context(), r.Method, outURL.String(), nil)
 		if rerr == nil {
 			out2.Header = r.Header.Clone()
@@ -351,8 +349,8 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		sm.errors.Add(1)
-		sm.latency.observe(time.Since(start))
+		sm.errors.Inc()
+		sm.latency.Observe(time.Since(start))
 		// Forward failures feed the same breaker the prober does: a shard
 		// that just refused traffic should fail fast for the next request
 		// instead of waiting for the prober to notice.
@@ -361,7 +359,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	sm.forwarded.Add(1)
+	sm.forwarded.Inc()
 	s.fails.Store(0)
 
 	hdr := w.Header()
@@ -371,7 +369,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	d := time.Since(start)
-	sm.latency.observe(d)
+	sm.latency.Observe(d)
 	sm.observeOK(d)
 }
 
@@ -421,17 +419,6 @@ func (rt *Router) health() map[string]bool {
 		out[s.name] = s.healthy.Load()
 	}
 	return out
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b bytes.Buffer
-	rt.metrics.renderProm(&b, rt.health())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(b.Bytes())
-}
-
-func (rt *Router) handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.metrics.renderVars(rt.health()))
 }
 
 // handleReload re-reads the shard map file and applies it. Shards whose

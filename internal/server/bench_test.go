@@ -59,8 +59,8 @@ func BenchmarkConcurrentServe(b *testing.B) {
 func benchConcurrentServe(b *testing.B, collector *obs.Collector) {
 	const hot = 8
 	sys := demoSystem(b)
-	p := newPersister(b.TempDir(), sys, nil, nil)
-	m := newSessionManager(hot, time.Hour, 4, p)
+	p := newPersister(b.TempDir(), sys, nil, nil, new(obs.Counter))
+	m := newSessionManager(hot, time.Hour, 4, p, obs.NewRegistry())
 	b.Cleanup(func() { m.shutdown() })
 	hotIDs, cold := benchSessions(b, m, hot)
 
@@ -177,8 +177,8 @@ func benchConcurrentServe(b *testing.B, collector *obs.Collector) {
 func BenchmarkRequestOverhead(b *testing.B) {
 	const hot = 4
 	sys := demoSystem(b)
-	p := newPersister(b.TempDir(), sys, nil, nil)
-	m := newSessionManager(hot, time.Hour, 4, p)
+	p := newPersister(b.TempDir(), sys, nil, nil, new(obs.Counter))
+	m := newSessionManager(hot, time.Hour, 4, p, obs.NewRegistry())
 	b.Cleanup(func() { m.shutdown() })
 	hotIDs, _ := benchSessions(b, m, hot)
 	stmt := sqldb.MustPrepare("SELECT COUNT(*) FROM candidates WHERE time = 0")
@@ -220,8 +220,8 @@ func BenchmarkRequestOverhead(b *testing.B) {
 func BenchmarkSessionLookup(b *testing.B) {
 	const hot = 8
 	sys := demoSystem(b)
-	p := newPersister(b.TempDir(), sys, nil, nil)
-	m := newSessionManager(hot, time.Hour, 4, p)
+	p := newPersister(b.TempDir(), sys, nil, nil, new(obs.Counter))
+	m := newSessionManager(hot, time.Hour, 4, p, obs.NewRegistry())
 	b.Cleanup(func() { m.shutdown() })
 	hotIDs, _ := benchSessions(b, m, hot)
 

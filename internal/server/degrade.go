@@ -37,7 +37,6 @@ func (s *Server) enterDegraded(cause error) {
 	if !s.degraded.CompareAndSwap(false, true) {
 		return
 	}
-	metricDegradedMode.Set(1)
 	s.logger.Error("data dir is out of space; entering read-only degraded mode",
 		"err", cause, "probe_every", s.cfg.DegradedProbeInterval)
 	go s.probeDegraded()
@@ -57,7 +56,6 @@ func (s *Server) probeDegraded() {
 				continue
 			}
 			s.degraded.Store(false)
-			metricDegradedMode.Set(0)
 			s.logger.Info("data dir is writable again; leaving degraded mode")
 			return
 		}
@@ -93,7 +91,7 @@ func (s *Server) rejectDegraded(w http.ResponseWriter) bool {
 	if !s.degraded.Load() {
 		return false
 	}
-	metricDegradedRejects.Add(1)
+	s.degradedRejects.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.degradedRetrySecs()))
 	writeError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("server is in read-only degraded mode (data dir is not writable); retry after the disk recovers"))

@@ -48,8 +48,8 @@ func TestDegradedModeOnENOSPCAndRecovery(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 on a full disk carries no Retry-After")
 	}
-	if metricDegradedMode.Value() != 1 {
-		t.Fatalf("jitd_degraded_mode = %d after ENOSPC, want 1", metricDegradedMode.Value())
+	if got := scrapeMetric(t, h, "jitd_degraded_mode"); got != 1 {
+		t.Fatalf("jitd_degraded_mode = %v after ENOSPC, want 1", got)
 	}
 
 	// Reads keep working while degraded: the healthy session still answers.
@@ -59,7 +59,7 @@ func TestDegradedModeOnENOSPCAndRecovery(t *testing.T) {
 
 	// The probe clears the mode by itself once the writes go through.
 	deadline := time.Now().Add(10 * time.Second)
-	for metricDegradedMode.Value() != 0 {
+	for scrapeMetric(t, h, "jitd_degraded_mode") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("degraded mode never cleared after the disk recovered")
 		}
@@ -102,7 +102,6 @@ func TestCorruptSessionQuarantinedInIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := metricSessionsQuarantined.Value()
 	h2 := NewWithConfig(sys, cfg)
 	srv2 := httptest.NewServer(h2)
 	t.Cleanup(srv2.Close)
@@ -112,8 +111,8 @@ func TestCorruptSessionQuarantinedInIsolation(t *testing.T) {
 	if code, _ := askText(t, srv2, idBad, "no-modification"); code != http.StatusNotFound {
 		t.Fatalf("corrupt session answered %d, want 404", code)
 	}
-	if got := metricSessionsQuarantined.Value() - pre; got != 1 {
-		t.Fatalf("jitd_sessions_quarantined delta = %d, want 1", got)
+	if got := scrapeMetric(t, h2, "jitd_sessions_quarantined_total"); got != 1 {
+		t.Fatalf("jitd_sessions_quarantined_total = %v, want 1", got)
 	}
 	// The directory moved to the quarantine area (evidence preserved for a
 	// post-mortem), and out of the live sessions tree.
@@ -127,8 +126,8 @@ func TestCorruptSessionQuarantinedInIsolation(t *testing.T) {
 	if code, _ := askText(t, srv2, idBad, "no-modification"); code != http.StatusNotFound {
 		t.Fatal("second access to quarantined session not 404")
 	}
-	if got := metricSessionsQuarantined.Value() - pre; got != 1 {
-		t.Fatalf("quarantine counter moved on repeat access: delta %d", got)
+	if got := scrapeMetric(t, h2, "jitd_sessions_quarantined_total"); got != 1 {
+		t.Fatalf("quarantine counter moved on repeat access: %v", got)
 	}
 
 	// The healthy session is untouched: same rows, straight from disk.

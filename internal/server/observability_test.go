@@ -6,13 +6,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"justintime/internal/obs"
+	"justintime/internal/obs/obstest"
 )
 
 // quietLogger keeps the access log (Info for slow requests — and with a 1ns
@@ -214,16 +214,40 @@ func TestRecentRingSampling(t *testing.T) {
 	}
 }
 
-var (
-	bucketLineRe = regexp.MustCompile(`^([a-z_]+)_bucket\{(.*)\} (\d+)$`)
-	countLineRe  = regexp.MustCompile(`^([a-z_]+)_count(?:\{(.*)\})? (\d+)$`)
-	leRe         = regexp.MustCompile(`(?:^|,)le="([^"]+)"`)
-)
+// scrape serves GET /metrics from h and parses it, failing t on any
+// exposition-format violation (obstest checks the histogram invariants).
+func scrape(t *testing.T, h http.Handler) *obstest.Exposition {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	e, err := obstest.Parse(rec.Body.String())
+	if err != nil {
+		t.Fatalf("/metrics exposition invalid: %v", err)
+	}
+	return e
+}
 
-// TestMetricsExposition scrapes /metrics after real traffic and validates
-// the exposition: every histogram series has numerically increasing le
-// bounds, non-decreasing cumulative buckets, a +Inf bucket, and a _count
-// equal to it; and the families the dashboards depend on are present.
+// scrapeMetric returns one sample's value from h's /metrics, failing t when
+// the sample is absent.
+func scrapeMetric(t *testing.T, h http.Handler, sample string) float64 {
+	t.Helper()
+	v, ok := scrape(t, h).Values[sample]
+	if !ok {
+		t.Fatalf("/metrics has no sample %s", sample)
+	}
+	return v
+}
+
+// TestMetricsExposition scrapes /metrics after real traffic: the text must
+// satisfy the exposition invariants, the ask must land in its route and
+// question histograms, and the families the dashboards depend on must be
+// present.
 func TestMetricsExposition(t *testing.T) {
 	sys := demoSystem(t)
 	h := NewWithConfig(sys, Config{Logger: quietLogger()})
@@ -240,117 +264,28 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+		t.Fatalf("GET /metrics over HTTP: %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-
-	type series struct {
-		les     []float64
-		counts  []int64
-		inf     int64
-		hasInf  bool
-		count   int64
-		hasCnt  bool
-		nBucket int
-	}
-	all := map[string]*series{}
-	get := func(key string) *series {
-		s, ok := all[key]
-		if !ok {
-			s = &series{}
-			all[key] = s
+	e := scrape(t, h)
+	for _, sample := range []string{
+		`jitd_http_request_duration_seconds_count{route="/api/sessions/{id}/ask"}`,
+		`jitd_question_duration_seconds_count{kind="no-modification"}`,
+	} {
+		if e.Values[sample] < 1 {
+			t.Errorf("%s = %v, want >= 1 after an ask", sample, e.Values[sample])
 		}
-		return s
-	}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if m := bucketLineRe.FindStringSubmatch(line); m != nil {
-			le := leRe.FindStringSubmatch(m[2])
-			if le == nil {
-				t.Fatalf("bucket line without le label: %s", line)
-			}
-			key := m[1] + "|" + leRe.ReplaceAllString(m[2], "")
-			v, _ := strconv.ParseInt(m[3], 10, 64)
-			s := get(key)
-			s.nBucket++
-			if le[1] == "+Inf" {
-				s.inf, s.hasInf = v, true
-			} else {
-				f, err := strconv.ParseFloat(le[1], 64)
-				if err != nil {
-					t.Fatalf("unparseable le %q in %s", le[1], line)
-				}
-				s.les = append(s.les, f)
-				s.counts = append(s.counts, v)
-			}
-			continue
-		}
-		if m := countLineRe.FindStringSubmatch(line); m != nil {
-			s := get(m[1] + "|" + m[2])
-			s.count, _ = strconv.ParseInt(m[3], 10, 64)
-			s.hasCnt = true
-		}
-	}
-	if len(all) == 0 {
-		t.Fatal("no histogram series found in /metrics")
-	}
-	for key, s := range all {
-		if !s.hasInf {
-			t.Errorf("series %s has no +Inf bucket", key)
-			continue
-		}
-		if !s.hasCnt {
-			t.Errorf("series %s has no _count", key)
-			continue
-		}
-		if s.count != s.inf {
-			t.Errorf("series %s: _count=%d != +Inf bucket %d", key, s.count, s.inf)
-		}
-		prevLe := -1.0
-		prevCount := int64(0)
-		for i := range s.les {
-			if s.les[i] <= prevLe {
-				t.Errorf("series %s: le bounds not increasing at %g", key, s.les[i])
-			}
-			if s.counts[i] < prevCount {
-				t.Errorf("series %s: cumulative count decreased at le=%g", key, s.les[i])
-			}
-			prevLe, prevCount = s.les[i], s.counts[i]
-		}
-		if s.inf < prevCount {
-			t.Errorf("series %s: +Inf bucket %d below last bucket %d", key, s.inf, prevCount)
-		}
-	}
-
-	// The ask above must have landed in its route's histogram.
-	askKey := `jitd_http_request_duration_seconds|route="/api/sessions/{id}/ask"`
-	if s, ok := all[askKey]; !ok || s.count < 1 {
-		t.Fatalf("ask route histogram missing or empty (series: %v)", askKey)
-	}
-	qKey := `jitd_question_duration_seconds|kind="no-modification"`
-	if s, ok := all[qKey]; !ok || s.count < 1 {
-		t.Fatalf("question histogram missing or empty (series: %v)", qKey)
 	}
 	for _, want := range []string{
-		"jitd_sessions_live", "jitd_traces_finished_total",
-		"jitd_plan_shapes_total{shape=", "jitd_plan_cache_total{event=",
-		"jitd_pool_fault_duration_seconds_bucket",
+		"jitd_sessions_live", "jitd_traces_finished_total", "jitd_plan_shapes_total",
+		"jitd_plan_cache_total", "jitd_pool_fault_duration_seconds",
 	} {
-		if !strings.Contains(body, want) {
+		if _, ok := e.Types[want]; !ok {
 			t.Errorf("/metrics is missing %s", want)
 		}
 	}
+	body := strings.Join(e.Families(), "\n")
 	// Sessions are written once at creation: no WAL or checkpoint family.
 	for _, gone := range []string{"jitd_wal_", "jitd_checkpoint"} {
 		if strings.Contains(body, gone) {

@@ -12,7 +12,7 @@ import (
 // TestPagedSessionRestartParity runs the PR 3 restart acceptance flow with
 // paged candidate storage enabled: answers and the candidates database must
 // be identical across a shutdown/relaunch, the session directory must carry
-// an epoch-named page file, and the shared pool's expvar gauges must reflect
+// an epoch-named page file, and the shared pool's /metrics series must reflect
 // real traffic (faults happened, nothing stayed pinned).
 func TestPagedSessionRestartParity(t *testing.T) {
 	dataDir := t.TempDir()
@@ -81,22 +81,24 @@ func TestPagedSessionRestartParity(t *testing.T) {
 		t.Fatal("paged candidates database is not row-for-row identical after restart")
 	}
 
-	// Pool gauges are mounted on /debug/vars and moved: the rehydrated reads
-	// above faulted pages in, and a quiescent server holds no pins.
-	_, vars := getJSON(t, srv2.URL+"/debug/vars")
-	misses, _ := vars["jitd_pool_misses"].(float64)
-	if misses < 1 {
-		t.Errorf("jitd_pool_misses = %v, want >= 1 after cold reads", vars["jitd_pool_misses"])
+	// Pool series are on /metrics and moved: the rehydrated reads above
+	// faulted pages in, and a quiescent server holds no pins.
+	e := scrape(t, h2)
+	if misses := e.Values["jitd_pool_misses_total"]; misses < 1 {
+		t.Errorf("jitd_pool_misses_total = %v, want >= 1 after cold reads", misses)
 	}
-	if pinned, _ := vars["jitd_pool_pinned"].(float64); pinned != 0 {
-		t.Errorf("jitd_pool_pinned = %v, want 0 at rest", vars["jitd_pool_pinned"])
+	if faults := e.Values["jitd_pool_fault_duration_seconds_count"]; faults < 1 {
+		t.Errorf("jitd_pool_fault_duration_seconds_count = %v, want >= 1 after cold reads", faults)
+	}
+	if pinned, ok := e.Values["jitd_pool_pinned"]; !ok || pinned != 0 {
+		t.Errorf("jitd_pool_pinned = %v (present %v), want 0 at rest", pinned, ok)
 	}
 	for _, key := range []string{
-		"jitd_pool_hits", "jitd_pool_evictions", "jitd_pool_dirty_writebacks",
+		"jitd_pool_hits_total", "jitd_pool_evictions_total", "jitd_pool_dirty_writebacks_total",
 		"jitd_pool_resident_pages",
 	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("pool gauge %s missing from /debug/vars", key)
+		if _, ok := e.Values[key]; !ok {
+			t.Errorf("pool series %s missing from /metrics", key)
 		}
 	}
 }
@@ -127,12 +129,11 @@ func TestPagedEvictionRehydrate(t *testing.T) {
 	}
 
 	advance(time.Second)
-	preRehydrate := metricRehydrations.Value()
 	if got := fetchCandidates(t, srv, idA); !reflect.DeepEqual(rowsA, got) {
 		t.Fatal("rehydrated paged session differs from original")
 	}
-	if got := metricRehydrations.Value() - preRehydrate; got != 1 {
-		t.Fatalf("rehydrations delta = %d, want 1", got)
+	if got := h.sessions.rehydrations.Value(); got != 1 {
+		t.Fatalf("rehydrations = %d, want 1", got)
 	}
 	if code, _ := askText(t, srv, idB, "no-modification"); code != http.StatusOK {
 		t.Fatalf("evicted paged session B should rehydrate, got %d", code)

@@ -13,6 +13,7 @@ import (
 
 	"justintime/internal/core"
 	"justintime/internal/fault"
+	"justintime/internal/obs"
 	"justintime/internal/sqldb/pager"
 	"justintime/internal/sqldb/persist"
 )
@@ -51,19 +52,23 @@ type persister struct {
 	// creations and deletions are announced through it. Wired by the Server
 	// right after construction, before any session exists.
 	shipper *persist.Shipper
+	// quarantined counts session stores moved aside as corrupt.
+	quarantined *obs.Counter
 }
 
 // newPersister prepares <dataDir>/sessions and sweeps orphans left by a
 // crash (directories without a complete snapshot, stray temp files). A
 // non-nil pool opts every session's candidates table into paged storage.
 // A non-nil fsys routes every durable write through it (fault injection).
-func newPersister(dataDir string, sys *core.System, pool *pager.Pool, fsys fault.FS) *persister {
+// Every quarantined store bumps quarantined.
+func newPersister(dataDir string, sys *core.System, pool *pager.Pool, fsys fault.FS, quarantined *obs.Counter) *persister {
 	p := &persister{
-		root: filepath.Join(dataDir, "sessions"),
-		sys:  sys,
-		pool: pool,
-		fs:   fault.Of(fsys),
-		opts: persist.Options{Pool: pool, FS: fsys},
+		root:        filepath.Join(dataDir, "sessions"),
+		sys:         sys,
+		pool:        pool,
+		fs:          fault.Of(fsys),
+		opts:        persist.Options{Pool: pool, FS: fsys},
+		quarantined: quarantined,
 	}
 	_ = p.fs.MkdirAll(p.root, 0o755)
 	p.sweepOrphans()
@@ -182,7 +187,7 @@ func (p *persister) quarantine(id, dir string, cause error) bool {
 	if err := os.Rename(dir, dest); err != nil {
 		return false
 	}
-	metricSessionsQuarantined.Add(1)
+	p.quarantined.Inc()
 	p.log().Error("session store corrupt; quarantined",
 		"session_id", id, "quarantine_dir", dest, "err", cause)
 	return true

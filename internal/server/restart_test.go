@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -81,7 +82,6 @@ func TestRestartRecoversSession(t *testing.T) {
 	srv1.Close()
 
 	// "Relaunch" over the same data dir.
-	preRehydrations := metricRehydrations.Value()
 	h2 := NewWithConfig(sys, cfg)
 	srv2 := httptest.NewServer(h2)
 	defer srv2.Close()
@@ -99,8 +99,8 @@ func TestRestartRecoversSession(t *testing.T) {
 	if postRows := fetchCandidates(t, srv2, id); !reflect.DeepEqual(preRows, postRows) {
 		t.Fatal("recovered candidates database is not row-for-row identical")
 	}
-	if got := metricRehydrations.Value() - preRehydrations; got != 1 {
-		t.Fatalf("rehydrations delta = %d, want 1 (one disk load, no regeneration)", got)
+	if got := h2.sessions.rehydrations.Value(); got != 1 {
+		t.Fatalf("rehydrations = %d, want 1 (one disk load, no regeneration)", got)
 	}
 }
 
@@ -148,10 +148,9 @@ func TestEvictionRehydrates(t *testing.T) {
 	// clock moves between creates so A is unambiguously the older entry
 	// (eviction breaks lastUsed ties arbitrarily).
 	advance(time.Second)
-	preLRU := metricEvictionsLRU.Value()
 	idB := createSession(t, srv, nil)
-	if got := metricEvictionsLRU.Value() - preLRU; got != 1 {
-		t.Fatalf("LRU evictions delta = %d, want 1", got)
+	if got := h.sessions.evictionsLRU.Value(); got != 1 {
+		t.Fatalf("LRU evictions = %d, want 1", got)
 	}
 	if h.sessions.count() != 1 {
 		t.Fatalf("resident sessions = %d, want 1", h.sessions.count())
@@ -159,25 +158,23 @@ func TestEvictionRehydrates(t *testing.T) {
 	// The evicted session rehydrates on demand (evicting B in turn — the
 	// clock advances so B is strictly the LRU entry at that point).
 	advance(time.Second)
-	preRehydrate := metricRehydrations.Value()
 	if got := fetchCandidates(t, srv, idA); !reflect.DeepEqual(rowsA, got) {
 		t.Fatal("rehydrated session differs from original")
 	}
-	if got := metricRehydrations.Value() - preRehydrate; got != 1 {
-		t.Fatalf("rehydrations delta = %d, want 1", got)
+	if got := h.sessions.rehydrations.Value(); got != 1 {
+		t.Fatalf("rehydrations = %d, want 1", got)
 	}
 
 	// TTL: idle past the TTL evicts, then the session rehydrates on access.
 	// The sweep is driven explicitly (in production the background eviction
 	// loop or any shard access past the throttle does this).
-	preTTL := metricEvictionsTTL.Value()
 	advance(2 * time.Minute)
 	h.sessions.sweepAll()
 	if _, ok := h.sessions.get("s-00000000000000000000000000000000"); ok {
 		t.Fatal("unknown id resolved")
 	}
-	if got := metricEvictionsTTL.Value() - preTTL; got != 1 {
-		t.Fatalf("TTL evictions delta = %d, want 1 (only A was resident)", got)
+	if got := h.sessions.evictionsTTL.Value(); got != 1 {
+		t.Fatalf("TTL evictions = %d, want 1 (only A was resident)", got)
 	}
 	if code, _ := askText(t, srv, idB, "no-modification"); code != http.StatusOK {
 		t.Fatalf("TTL-evicted session should rehydrate, got %d", code)
@@ -295,46 +292,44 @@ func TestOrphanSweepOnStartup(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint asserts /debug/vars is mounted and carries the jitd
-// counters, gauges and per-question latency histograms.
+// TestMetricsEndpoint asserts /metrics carries the jitd lifecycle
+// counters, the per-question latency histograms and the per-shard gauge.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := testServer(t)
+	h := NewWithConfig(demoSystem(t), Config{Shards: 4})
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { h.Close() })
 	// Drive one question through so its latency histogram has a sample.
 	id := createSession(t, srv, nil)
 	if code, _ := askText(t, srv, id, "no-modification"); code != http.StatusOK {
 		t.Fatalf("ask: %d", code)
 	}
 
-	resp, out := getJSON(t, srv.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars: %d", resp.StatusCode)
-	}
-	for _, key := range []string{
-		"jitd_sessions_live", "jitd_evictions_ttl", "jitd_evictions_lru",
-		"jitd_rehydrations", "jitd_rehydrations_coalesced", "jitd_creates_rejected",
-		"jitd_question_latency_us", "jitd_shard_sessions",
+	e := scrape(t, h)
+	for _, name := range []string{
+		"jitd_sessions_live", "jitd_evictions_ttl_total", "jitd_evictions_lru_total",
+		"jitd_rehydrations_total", "jitd_rehydrations_coalesced_total", "jitd_creates_rejected_total",
+		"jitd_question_duration_seconds", "jitd_shard_sessions",
 	} {
-		if _, ok := out[key]; !ok {
-			t.Errorf("metric %s missing from /debug/vars", key)
+		if _, ok := e.Types[name]; !ok {
+			t.Errorf("metric %s missing from /metrics", name)
 		}
 	}
 	// The histogram is keyed by question kind and cumulative: the answered
-	// question must have count >= 1 and a terminal le_inf equal to count.
-	hists, _ := out["jitd_question_latency_us"].(map[string]interface{})
-	h, _ := hists["no-modification"].(map[string]interface{})
-	count, _ := h["count"].(float64)
-	leInf, _ := h["le_inf"].(float64)
-	if count < 1 || leInf != count {
-		t.Errorf("no-modification histogram malformed: count=%v le_inf=%v (%v)", count, leInf, h)
+	// question must have count >= 1 (scrape already checked +Inf == count).
+	if count := e.Values[`jitd_question_duration_seconds_count{kind="no-modification"}`]; count < 1 {
+		t.Errorf("no-modification histogram count = %v, want >= 1", count)
 	}
-	// Per-shard gauge: an array whose sum covers the resident session.
-	shards, _ := out["jitd_shard_sessions"].([]interface{})
+	// Per-shard gauge: one series per shard, summing to the resident session.
 	sum := 0.0
-	for _, v := range shards {
-		n, _ := v.(float64)
-		sum += n
+	for i := 0; i < 4; i++ {
+		v, ok := e.Values[`jitd_shard_sessions{shard="`+strconv.Itoa(i)+`"}`]
+		if !ok {
+			t.Errorf("jitd_shard_sessions has no series for shard %d", i)
+		}
+		sum += v
 	}
-	if sum < 1 {
-		t.Errorf("jitd_shard_sessions sums to %v, want >= 1 resident", sum)
+	if sum != 1 {
+		t.Errorf("jitd_shard_sessions sums to %v, want 1 resident", sum)
 	}
 }

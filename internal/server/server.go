@@ -8,7 +8,6 @@ package server
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -159,6 +158,13 @@ type Server struct {
 	degraded atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
+
+	// reg holds this Server's metrics, served on /metrics (metrics.go).
+	reg             *obs.Registry
+	createsRejected *obs.Counter
+	degradedRejects *obs.Counter
+	routes          obs.Vec[obs.Histogram]
+	questions       map[core.QuestionKind]*obs.Histogram
 }
 
 // New builds a Server around a configured system with default limits.
@@ -170,15 +176,16 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 	var pool *pager.Pool
 	if cfg.DataDir != "" && cfg.BufferPoolPages > 0 {
 		pool = pager.NewPool(cfg.BufferPoolPages)
-		registerPool(pool)
 	}
+	reg := obs.NewRegistry()
+	quarantined := reg.Counter("jitd_sessions_quarantined_total", "Corrupt session stores moved to the quarantine directory.")
 	var p *persister
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
 	if cfg.DataDir != "" {
-		p = newPersister(cfg.DataDir, sys, pool, cfg.FS)
+		p = newPersister(cfg.DataDir, sys, pool, cfg.FS, quarantined)
 		p.logger = logger
 	}
 	var shipper *persist.Shipper
@@ -187,7 +194,6 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 		// created without being announced to the standby.
 		shipper = persist.NewShipperDialer(p.root, cfg.ReplicateTo, logger, cfg.ReplicationDial)
 		p.shipper = shipper
-		registerShipper(shipper)
 	}
 	var collector *obs.Collector
 	if !cfg.DisableTracing {
@@ -197,13 +203,15 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 		sys:       sys,
 		cfg:       cfg,
 		pool:      pool,
-		sessions:  newSessionManager(cfg.MaxSessions, cfg.SessionTTL, cfg.Shards, p),
+		sessions:  newSessionManager(cfg.MaxSessions, cfg.SessionTTL, cfg.Shards, p, reg),
 		createSem: make(chan struct{}, cfg.MaxPendingCreates),
 		collector: collector,
 		logger:    logger,
 		shipper:   shipper,
 		stop:      make(chan struct{}),
+		reg:       reg,
 	}
+	s.registerMetrics()
 	// The manager is built by newSessionManager (whose signature tests
 	// depend on); observability and cluster seams are wired in afterwards.
 	s.sessions.logger = logger
@@ -221,10 +229,9 @@ func NewWithConfig(sys *core.System, cfg Config) *Server {
 	s.route(mux, "POST /api/sessions/{id}/sql", s.handleSQL)
 	// Introspection endpoints are served bare: scrapes and debug reads must
 	// not pollute the trace rings or the per-route latency histograms.
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	mux.HandleFunc("GET /debug/requests/slow", s.handleRequestsSlow)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", reg)
 	s.mux = mux
 	return s
 }
@@ -259,7 +266,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // cardinality is fixed at registration time.
 func (s *Server) route(mux *http.ServeMux, pattern string, handler http.HandlerFunc) {
 	method, path, _ := strings.Cut(pattern, " ")
-	hist := routeHist(path)
+	hist := s.routes.With(path)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t := s.collector.StartRequest(method, path)
 		sw := &statusWriter{ResponseWriter: w}
@@ -277,7 +284,7 @@ func (s *Server) route(mux *http.ServeMux, pattern string, handler http.HandlerF
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		hist.observe(d)
+		hist.Observe(d)
 		s.collector.Finish(t, sw.status)
 		s.logRequest(r, method, path, reqID, sw.status, d)
 	})
@@ -352,10 +359,6 @@ func (s *Server) Close() int {
 		// Give the standby a bounded window to acknowledge the creates and
 		// deletes still queued before letting go.
 		s.shipper.Close(3 * time.Second)
-		unregisterShipper(s.shipper)
-	}
-	if s.pool != nil {
-		unregisterPool(s.pool)
 	}
 	return n
 }
@@ -475,7 +478,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	case s.createSem <- struct{}{}:
 		defer func() { <-s.createSem }()
 	default:
-		metricCreatesRejected.Add(1)
+		s.createsRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("session creation queue is full (%d pending); retry shortly", cap(s.createSem)))
@@ -612,7 +615,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	observeQuestionLatency(kind, time.Since(start))
+	if h, ok := s.questions[kind]; ok {
+		h.Observe(time.Since(start))
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"kind":   req.Kind,
 		"sql":    ins.SQL,

@@ -54,8 +54,8 @@ func testServer(t *testing.T) *httptest.Server {
 	h := New(demoSystem(t))
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	// Release the manager too: its background eviction loop and registry
-	// entry outlive the test otherwise.
+	// Release the manager too: its background eviction loop outlives the
+	// test otherwise.
 	t.Cleanup(func() { h.Close() })
 	return srv
 }

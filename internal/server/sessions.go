@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"expvar"
 	"fmt"
 	"hash/maphash"
 	"log/slog"
@@ -95,10 +94,14 @@ type sessionShard struct {
 type sessionManager struct {
 	shards  []*sessionShard
 	seed    maphash.Seed
-	max     int          // global resident cap, enforced via live
-	live    atomic.Int64 // resident entries across all shards
+	max     int        // global resident cap, enforced via live
+	live    *obs.Gauge // resident entries across all shards
 	ttl     time.Duration
 	persist *persister // nil = memory-only
+
+	// Lifecycle counters, registered by newSessionManager.
+	evictionsTTL, evictionsLRU *obs.Counter
+	rehydrations, coalesced    *obs.Counter
 
 	nowFn      atomic.Pointer[func() time.Time] // test hook, read by every shard
 	sweepEvery time.Duration
@@ -133,7 +136,8 @@ func (m *sessionManager) log() *slog.Logger {
 	return slog.Default()
 }
 
-func newSessionManager(max int, ttl time.Duration, shards int, p *persister) *sessionManager {
+// newSessionManager builds a manager with its families registered in reg.
+func newSessionManager(max int, ttl time.Duration, shards int, p *persister, reg *obs.Registry) *sessionManager {
 	if max < 1 {
 		max = 1 // a non-positive cap would make the eviction loop spin
 	}
@@ -147,7 +151,21 @@ func newSessionManager(max int, ttl time.Duration, shards int, p *persister) *se
 		ttl:     ttl,
 		persist: p,
 		stop:    make(chan struct{}),
+
+		live:         reg.Gauge("jitd_sessions_live", "Sessions currently resident in memory."),
+		evictionsTTL: reg.Counter("jitd_evictions_ttl_total", "Sessions evicted by idle-TTL expiry."),
+		evictionsLRU: reg.Counter("jitd_evictions_lru_total", "Sessions evicted by the LRU cap."),
+		rehydrations: reg.Counter("jitd_rehydrations_total", "Sessions reloaded from disk on a cache miss."),
+		coalesced:    reg.Counter("jitd_rehydrations_coalesced_total", "Cache misses that piggybacked on an in-flight disk load."),
 	}
+	// Uneven counts reveal hash skew; a stuck shard reveals a lock problem.
+	reg.VecFunc("jitd_shard_sessions", "Sessions resident in each session-manager shard.", "gauge", "shard", func() map[string]int64 {
+		out := make(map[string]int64, len(m.shards))
+		for i, n := range m.shardSizes() {
+			out[strconv.Itoa(i)] = int64(n)
+		}
+		return out
+	})
 	m.setNow(time.Now)
 	// Sweep scans a whole shard map, so throttle them well below the TTL
 	// but often enough that expiry is prompt at human time scales.
@@ -163,7 +181,6 @@ func newSessionManager(max int, ttl time.Duration, shards int, p *persister) *se
 			deleting: make(map[string]int),
 		}
 	}
-	registerManager(m)
 	m.loopWG.Add(1)
 	go m.evictionLoop()
 	return m
@@ -186,13 +203,6 @@ func (m *sessionManager) shardFor(id string) *sessionShard {
 // shardIndexFor exposes the shard number itself, for trace attribution.
 func (m *sessionManager) shardIndexFor(id string) uint64 {
 	return maphash.String(m.seed, id) % uint64(len(m.shards))
-}
-
-// noteResident adjusts the manager-local cap counter and the process-wide
-// gauge together.
-func (m *sessionManager) noteResident(delta int64) {
-	m.live.Add(delta)
-	metricSessionsLive.Add(delta)
 }
 
 // add registers sess under a fresh random ID and returns the ID. With
@@ -218,7 +228,7 @@ func (m *sessionManager) add(sess *core.Session, constraintSrcs []string) (strin
 	now := m.now()
 	sh.mu.Lock()
 	sh.entries[id] = &sessionEntry{sess: sess, store: store, lastUsed: now}
-	m.noteResident(1)
+	m.live.Add(1)
 	expired := sh.maybeExpireLocked(now)
 	sh.mu.Unlock()
 	closeStores(expired)
@@ -317,7 +327,7 @@ func (m *sessionManager) lookup(id string, parent *obs.Span) (*core.Session, boo
 		// being evicted and immediately rehydrated byte-identical.
 		// Memory-only keeps expired-means-gone semantics.
 		if m.persist == nil && now.Sub(e.lastUsed) > m.ttl {
-			sh.evictLocked(id, metricEvictionsTTL)
+			sh.evictLocked(id, m.evictionsTTL)
 			sh.mu.Unlock()
 			endLookup(coldGetSpan(span, parent, shIdx), "expired", lockWait)
 			return nil, false
@@ -357,7 +367,7 @@ func (m *sessionManager) lookup(id string, parent *obs.Span) (*core.Session, boo
 	if r, ok := sh.inflight[id]; ok {
 		sh.mu.Unlock()
 		closeStores(expired)
-		metricRehydrationsCoalesced.Add(1)
+		m.coalesced.Inc()
 		span = coldGetSpan(span, parent, shIdx)
 		wait := span.StartChild("singleflight.wait")
 		<-r.done
@@ -417,9 +427,9 @@ func (sh *sessionShard) rehydrate(id string, r *rehydration, span *obs.Span, loc
 		return nil, false
 	}
 	sh.entries[id] = &sessionEntry{sess: sess, store: store, lastUsed: m.now()}
-	m.noteResident(1)
+	m.live.Add(1)
 	sh.mu.Unlock()
-	metricRehydrations.Add(1)
+	m.rehydrations.Inc()
 	r.sess, r.ok = sess, true
 	close(r.done)
 	m.enforceCap()
@@ -439,7 +449,7 @@ func (m *sessionManager) remove(id string) bool {
 	sh.mu.Lock()
 	if e, ok := sh.entries[id]; ok {
 		delete(sh.entries, id)
-		m.noteResident(-1)
+		m.live.Add(-1)
 		store = e.store
 		// Memory-only: an expired session is already gone; drop the corpse
 		// but report a miss, like get would.
@@ -486,7 +496,7 @@ func (m *sessionManager) count() int {
 }
 
 // shardSizes returns the resident-session count of every shard, in shard
-// order (the /debug/vars per-shard gauge).
+// order (the jitd_shard_sessions gauge).
 func (m *sessionManager) shardSizes() []int {
 	sizes := make([]int, len(m.shards))
 	for i, sh := range m.shards {
@@ -510,7 +520,7 @@ func (m *sessionManager) shutdown() int {
 		sh.mu.Lock()
 		for id, e := range sh.entries {
 			delete(sh.entries, id)
-			m.noteResident(-1)
+			m.live.Add(-1)
 			if e.store != nil {
 				stores = append(stores, e.store)
 			}
@@ -529,7 +539,6 @@ func (m *sessionManager) stopBackgroundSweeps() {
 	if m.closed.CompareAndSwap(false, true) {
 		close(m.stop)
 		m.loopWG.Wait()
-		unregisterManager(m)
 	}
 }
 
@@ -584,7 +593,7 @@ func (sh *sessionShard) expireLocked(now time.Time) []*persist.Store {
 	var stores []*persist.Store
 	for id, e := range sh.entries {
 		if now.Sub(e.lastUsed) > sh.m.ttl {
-			sh.evictLocked(id, metricEvictionsTTL)
+			sh.evictLocked(id, sh.m.evictionsTTL)
 			stores = append(stores, e.store)
 		}
 	}
@@ -593,10 +602,10 @@ func (sh *sessionShard) expireLocked(now time.Time) []*persist.Store {
 
 // evictLocked drops id's entry from the shard and counts the eviction under
 // cause. The caller closes the entry's store after releasing the lock.
-func (sh *sessionShard) evictLocked(id string, cause *expvar.Int) {
+func (sh *sessionShard) evictLocked(id string, cause *obs.Counter) {
 	delete(sh.entries, id)
-	sh.m.noteResident(-1)
-	cause.Add(1)
+	sh.m.live.Add(-1)
+	cause.Inc()
 }
 
 // closeStores releases evicted sessions' stores (pool frames and file
@@ -620,7 +629,7 @@ func closeStores(stores []*persist.Store) {
 // briefly — bounded by the number of in-flight creations (createSem) and
 // rehydrations.
 func (m *sessionManager) enforceCap() {
-	for m.live.Load() > int64(m.max) {
+	for m.live.Value() > int64(m.max) {
 		if !m.evictGlobalLRU() {
 			return // nothing resident to evict
 		}
@@ -630,7 +639,7 @@ func (m *sessionManager) enforceCap() {
 // makeRoom pre-evicts so an imminent insert lands at (or under) the cap,
 // mirroring the old manager's evict-before-insert behavior.
 func (m *sessionManager) makeRoom() {
-	for m.live.Load() >= int64(m.max) {
+	for m.live.Value() >= int64(m.max) {
 		if !m.evictGlobalLRU() {
 			return
 		}
@@ -657,7 +666,7 @@ func (m *sessionManager) evictGlobalLRU() bool {
 	sh.mu.Lock()
 	e, ok := sh.entries[victimID]
 	if ok {
-		sh.evictLocked(victimID, metricEvictionsLRU)
+		sh.evictLocked(victimID, m.evictionsLRU)
 	}
 	sh.mu.Unlock()
 	if ok && e.store != nil {

@@ -10,10 +10,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"justintime/internal/obs"
 )
 
 func TestSessionIDsAreUnguessable(t *testing.T) {
-	m := newSessionManager(10, time.Minute, 4, nil)
+	m := newSessionManager(10, time.Minute, 4, nil, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
@@ -45,7 +47,7 @@ func installFakeClock(m *sessionManager, start time.Time) func(time.Duration) {
 }
 
 func TestSessionManagerTTL(t *testing.T) {
-	m := newSessionManager(10, time.Minute, 4, nil)
+	m := newSessionManager(10, time.Minute, 4, nil, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	advance := installFakeClock(m, time.Unix(1000, 0))
 	id, err := m.add(nil, nil)
@@ -72,7 +74,7 @@ func TestSessionManagerTTL(t *testing.T) {
 func TestSessionManagerLRUCap(t *testing.T) {
 	// 4 shards on 3 sessions: the LRU victim must still be the globally
 	// least recently used entry, wherever its id hashed.
-	m := newSessionManager(2, time.Hour, 4, nil)
+	m := newSessionManager(2, time.Hour, 4, nil, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	advance := installFakeClock(m, time.Unix(1000, 0))
 	a, _ := m.add(nil, nil)
@@ -99,7 +101,7 @@ func TestSessionManagerLRUCap(t *testing.T) {
 }
 
 func TestSessionManagerRemove(t *testing.T) {
-	m := newSessionManager(10, time.Hour, 4, nil)
+	m := newSessionManager(10, time.Hour, 4, nil, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	id, _ := m.add(nil, nil)
 	if !m.remove(id) {
@@ -114,7 +116,7 @@ func TestSessionManagerRemove(t *testing.T) {
 // shards (maphash spreads 128-bit random ids), the per-shard gauge sums to
 // the resident count, and every id still resolves through its shard.
 func TestShardDistribution(t *testing.T) {
-	m := newSessionManager(64, time.Hour, 8, nil)
+	m := newSessionManager(64, time.Hour, 8, nil, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	ids := make([]string, 0, 32)
 	for i := 0; i < 32; i++ {
@@ -161,7 +163,6 @@ func TestCreateBackpressure(t *testing.T) {
 
 	// Occupy the only slot, as a slow in-flight creation would.
 	h.createSem <- struct{}{}
-	preRejected := metricCreatesRejected.Value()
 	resp, out := postJSON(t, srv.URL+"/api/sessions", map[string]interface{}{
 		"profile": johnProfile(),
 	})
@@ -171,8 +172,8 @@ func TestCreateBackpressure(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if got := metricCreatesRejected.Value() - preRejected; got != 1 {
-		t.Fatalf("rejected counter delta = %d, want 1", got)
+	if got := h.createsRejected.Value(); got != 1 {
+		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 	// Slot freed: creation admits and completes.
 	<-h.createSem

@@ -9,6 +9,7 @@ import (
 
 	"justintime/internal/constraints"
 	"justintime/internal/dataset"
+	"justintime/internal/obs"
 )
 
 // stormManager builds a persisting 4-shard manager with one real session
@@ -17,8 +18,8 @@ import (
 func stormManager(t *testing.T) (m *sessionManager, id string, advance func(time.Duration)) {
 	t.Helper()
 	sys := demoSystem(t)
-	p := newPersister(t.TempDir(), sys, nil, nil)
-	m = newSessionManager(8, time.Minute, 4, p)
+	p := newPersister(t.TempDir(), sys, nil, nil, new(obs.Counter))
+	m = newSessionManager(8, time.Minute, 4, p, obs.NewRegistry())
 	t.Cleanup(func() { m.shutdown() })
 	// These tests script exact eviction/rehydration interleavings; the
 	// background sweeper must not evict behind their backs or read the hooks.
@@ -69,9 +70,6 @@ func TestRehydrationStormSingleLoad(t *testing.T) {
 		<-release
 	}
 
-	preLoads := metricRehydrations.Value()
-	preCoalesced := metricRehydrationsCoalesced.Value()
-
 	var wg sync.WaitGroup
 	errs := make(chan error, storm)
 	for g := 0; g < storm; g++ {
@@ -88,7 +86,7 @@ func TestRehydrationStormSingleLoad(t *testing.T) {
 	// Every other goroutine must coalesce onto it, not start loads of their
 	// own.
 	waitFor(t, "storm to coalesce", func() bool {
-		return metricRehydrationsCoalesced.Value()-preCoalesced == storm-1
+		return m.coalesced.Value() == storm-1
 	})
 	close(release)
 	wg.Wait()
@@ -97,7 +95,7 @@ func TestRehydrationStormSingleLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := metricRehydrations.Value() - preLoads; got != 1 {
+	if got := m.rehydrations.Value(); got != 1 {
 		t.Fatalf("disk loads = %d, want exactly 1", got)
 	}
 	if m.count() != 1 {
@@ -122,9 +120,6 @@ func TestDeleteRacesRehydration(t *testing.T) {
 		<-release
 	}
 
-	preLoads := metricRehydrations.Value()
-	preCoalesced := metricRehydrationsCoalesced.Value()
-
 	var wg sync.WaitGroup
 	hits := make(chan bool, storm)
 	for g := 0; g < storm; g++ {
@@ -138,7 +133,7 @@ func TestDeleteRacesRehydration(t *testing.T) {
 
 	<-entered
 	waitFor(t, "waiters to coalesce", func() bool {
-		return metricRehydrationsCoalesced.Value()-preCoalesced == storm-1
+		return m.coalesced.Value() == storm-1
 	})
 	// The race: DELETE lands while the load is in flight.
 	if !m.remove(id) {
@@ -153,7 +148,7 @@ func TestDeleteRacesRehydration(t *testing.T) {
 		}
 	}
 
-	if got := metricRehydrations.Value() - preLoads; got != 0 {
+	if got := m.rehydrations.Value(); got != 0 {
 		t.Fatalf("completed rehydrations = %d, want 0 (delete won)", got)
 	}
 	if m.count() != 0 {
@@ -187,12 +182,11 @@ func TestRehydrationDuringDeleteWindow(t *testing.T) {
 	go func() { removed <- m.remove(id) }()
 	<-entered // DELETE is mid-window: session forgotten, files still on disk
 
-	preLoads := metricRehydrations.Value()
 	if _, ok := m.get(id); ok {
 		t.Fatal("get inside the delete window resurrected the session")
 	}
-	if got := metricRehydrations.Value() - preLoads; got != 0 {
-		t.Fatalf("rehydrations delta = %d, want 0 (tombstoned)", got)
+	if got := m.rehydrations.Value(); got != 0 {
+		t.Fatalf("rehydrations = %d, want 0 (tombstoned)", got)
 	}
 
 	close(release)

@@ -7,7 +7,8 @@ import (
 
 // planCounts are process-wide per-plan-shape counters, bumped at every plan
 // decision (one bump per scan/join/top-k choice, not per row). The server
-// exports them on /debug/vars; tests assert on deltas, not absolutes.
+// exports them on /metrics as jitd_plan_shapes_total{shape}; tests assert on
+// deltas, not absolutes.
 var planCounts struct {
 	fullScan       atomic.Uint64
 	indexScan      atomic.Uint64

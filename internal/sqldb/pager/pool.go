@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"justintime/internal/obs"
 )
 
 // ErrNoFrames is returned by Pin when every frame in the pool is pinned:
@@ -35,6 +37,8 @@ type Pool struct {
 	clock  int
 
 	hits, misses, evictions, writebacks int64
+
+	faults obs.Histogram // disk-read latency of every page fault
 }
 
 type frameKey struct {
@@ -73,6 +77,9 @@ func NewPool(npages int) *Pool {
 
 // Len returns the pool's frame count.
 func (p *Pool) Len() int { return len(p.frames) }
+
+// FaultLatency is the pool's page-fault disk-read latency histogram.
+func (p *Pool) FaultLatency() *obs.Histogram { return &p.faults }
 
 // Stats returns current counters.
 func (p *Pool) Stats() Stats {
@@ -163,7 +170,7 @@ func (p *Pool) pin(f *File, pageNo int, tk *Tracker) (*Frame, error) {
 		if rerr == nil {
 			d := time.Since(readStart)
 			tk.noteFault(d)
-			observeFault(d)
+			p.faults.Observe(d)
 		}
 		p.mu.Lock()
 		fr.loading = false

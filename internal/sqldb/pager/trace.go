@@ -1,9 +1,6 @@
 package pager
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Tracker accumulates the pool activity attributable to one caller — one
 // SQL statement execution, typically. The executor hands a Tracker down the
@@ -41,19 +38,5 @@ func (tk *Tracker) noteWriteback(d time.Duration) {
 	if tk != nil {
 		tk.Writebacks++
 		tk.WritebackNs += d.Nanoseconds()
-	}
-}
-
-// faultObserver is the process-wide fault-latency hook (the /metrics
-// histogram). Atomic so SetFaultObserver can race pins harmlessly.
-var faultObserver atomic.Pointer[func(time.Duration)]
-
-// SetFaultObserver installs fn to observe every page fault's disk-read
-// latency, pool-wide. One observer; later calls replace it.
-func SetFaultObserver(fn func(time.Duration)) { faultObserver.Store(&fn) }
-
-func observeFault(d time.Duration) {
-	if fn := faultObserver.Load(); fn != nil {
-		(*fn)(d)
 	}
 }

@@ -101,6 +101,17 @@ done
 for i in 0 1 2; do
   wait_url "http://127.0.0.1:${API_PORTS[$i]}/api/questions" "primary ${NAMES[$i]}"
   wait_url "http://127.0.0.1:${SB_PORTS[$i]}/admin/standby" "standby ${NAMES[$i]}"
+  # An unpromoted standby serves its own ingest counters on /metrics (every
+  # API path still answers 503): its primary's feed must be connected.
+  ok=""
+  for _ in $(seq 1 100); do
+    if m=$(curl -sf "http://127.0.0.1:${SB_PORTS[$i]}/metrics") \
+        && grep -q '^jitd_replica_connected 1$' <<<"$m"; then
+      ok=1; break
+    fi
+    sleep 0.2
+  done
+  [ -n "$ok" ] || fail "standby ${NAMES[$i]} /metrics never showed jitd_replica_connected 1"
 done
 
 echo "== starting jitrouter =="
